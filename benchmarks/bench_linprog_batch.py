@@ -6,9 +6,9 @@ thousands of small HiGHS models whose per-call set-up cost dominates the
 actual simplex work whenever signatures share a support (d-dimensional
 histogram grids).  :func:`repro.emd.solve_emd_linprog_batch` stacks many
 pairs into one sparse block-diagonal LP per HiGHS call, paying the model
-set-up once per chunk while producing *exactly* the same distances (same
-LP, same solver — unlike the entropic ``sinkhorn_batch`` path there is
-no approximation to trade away).
+set-up once per chunk while producing the same distances (same LP, same
+solver; they agree within 1e-15, not bit for bit, because HiGHS solves
+each chunk as one model).
 
 Two sections:
 

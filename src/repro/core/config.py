@@ -9,7 +9,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .._validation import check_positive_int
-from ..emd.batch import EMD_SOLVERS, PARALLEL_BACKENDS, _check_anneal
+from ..emd.batch import EMD_SOLVERS, PARALLEL_BACKENDS
 from ..emd.registry import (
     POISON_POLICIES,
     EMDSolverName,
@@ -56,36 +56,14 @@ class DetectorConfig:
         Ground distance of the EMD (Section 3.2).
     emd_backend:
         ``"auto"``, ``"linprog"``, ``"simplex"`` (exact per-pair
-        solvers), ``"linprog_batch"`` — the block-diagonal batched
+        solvers) or ``"linprog_batch"`` — the block-diagonal batched
         *exact* LP, which stacks common-support pairs (e.g. histogram
-        signatures over a shared grid) into single HiGHS solves with
-        distances exactly equal to ``"linprog"`` — or
-        ``"sinkhorn_batch"`` — the tensor-batched *entropic* solver over
-        the same support grouping.  Exact 1-D pairs always take the
-        closed-form fast path; irregular supports fall back to the
-        per-pair exact LP.  Note ``"sinkhorn_batch"`` computes the
-        *normalised-mass* (balanced) EMD throughout — equal to the
-        paper's partial-matching EMD whenever bags carry equal total
-        mass, an approximation otherwise — while ``"linprog_batch"``
-        keeps the paper's partial-matching functional unchanged.
-    sinkhorn_epsilon:
-        Unit-free regularisation strength of the batched Sinkhorn solver
-        (smaller = closer to the exact EMD but slower); only used with
-        ``emd_backend="sinkhorn_batch"``.
-    sinkhorn_max_iter:
-        Iteration budget per batched Sinkhorn solve.
-    sinkhorn_tol:
-        L1 row-marginal tolerance at which a batched Sinkhorn pair
-        counts as converged.  The solver default (1e-9) is far tighter
-        than the detection scores can resolve; raising it (e.g. to
-        1e-6) shortens the band build without moving any alert.
-    sinkhorn_anneal:
-        Optional decreasing epsilon-annealing prefix for the batched
-        Sinkhorn solver: each solve runs the schedule
-        ``(*sinkhorn_anneal, sinkhorn_epsilon)`` with warm-started
-        duals, reaching a small final epsilon much faster than a cold
-        start at it.  Stages must be strictly decreasing and stay above
-        ``sinkhorn_epsilon``.
+        signatures over a shared grid, which needs a fixed
+        ``histogram_range``) into single HiGHS solves with distances
+        equal to ``"linprog"`` within 1e-15.  Exact 1-D pairs always
+        take the closed-form fast path; irregular supports fall back to
+        the per-pair exact LP, with a :class:`RuntimeWarning` the first
+        time ``"linprog_batch"`` does so.
     parallel_backend:
         How the EMD engine computes batches of pair distances:
         ``"serial"`` (default), ``"thread"`` or ``"process"``.
@@ -94,13 +72,15 @@ class DetectorConfig:
         sharded band build); ``None`` uses the CPU count.
     n_shards:
         When set (> 1), the offline detector builds the EMD band
-        through :class:`repro.emd.sharding.ShardRunner`: the band's
-        pair set is partitioned into that many contiguous row-blocks,
-        executed process-parallel when ``parallel_backend="process"``
-        (signatures shared via ``multiprocessing.shared_memory``) and
-        sequentially otherwise, then merged — bit-for-bit equal to the
-        unsharded build.  ``None`` (default) keeps the single-pass
-        build.
+        through :class:`repro.emd.orchestrator.ShardOrchestrator`: the
+        band's pair set is partitioned into that many contiguous
+        row-blocks, executed on process workers when
+        ``parallel_backend="process"`` and sequentially otherwise, then
+        merged.  The merge is bit-for-bit equal to the unsharded build
+        on the per-pair backends; with ``"linprog_batch"`` a stacked
+        distance depends on which pairs share its solve, so sharded and
+        unsharded bands agree within 1e-15.  ``None`` (default) keeps
+        the single-pass build.
     shard_checkpoint_dir:
         Optional directory for per-shard ``.npz`` checkpoints.  With it
         set, a killed detection run resumes its band build at the last
@@ -159,10 +139,6 @@ class DetectorConfig:
     histogram_range: Optional[Sequence] = None
     ground_distance: str = "euclidean"
     emd_backend: EMDSolverName = "auto"
-    sinkhorn_epsilon: float = 0.05
-    sinkhorn_max_iter: int = 2000
-    sinkhorn_tol: float = 1e-9
-    sinkhorn_anneal: Optional[Sequence[float]] = None
     parallel_backend: ParallelBackendName = "serial"
     n_workers: Optional[int] = None
     n_shards: Optional[int] = None
@@ -197,14 +173,7 @@ class DetectorConfig:
             raise ConfigurationError(
                 f"emd_backend must be one of {EMD_SOLVERS}, got {self.emd_backend!r}"
             )
-        if not np.isfinite(self.sinkhorn_epsilon) or self.sinkhorn_epsilon <= 0:
-            raise ConfigurationError("sinkhorn_epsilon must be positive and finite")
-        if not np.isfinite(self.sinkhorn_tol) or self.sinkhorn_tol <= 0:
-            raise ConfigurationError("sinkhorn_tol must be positive and finite")
-        if self.sinkhorn_anneal is not None:
-            self.sinkhorn_anneal = _check_anneal(self.sinkhorn_anneal, self.sinkhorn_epsilon)
         try:
-            check_positive_int(self.sinkhorn_max_iter, "sinkhorn_max_iter")
             if self.n_shards is not None:
                 check_positive_int(self.n_shards, "n_shards")
             if self.history_limit is not None:

@@ -74,10 +74,6 @@ class BagChangePointDetector:
             backend=config.emd_backend,
             parallel_backend=config.parallel_backend,
             n_workers=config.n_workers,
-            sinkhorn_epsilon=config.sinkhorn_epsilon,
-            sinkhorn_max_iter=config.sinkhorn_max_iter,
-            sinkhorn_tol=config.sinkhorn_tol,
-            sinkhorn_anneal=config.sinkhorn_anneal,
         )
 
     # ------------------------------------------------------------------ #
@@ -135,8 +131,8 @@ class BagChangePointDetector:
         retry/backoff (``config.shard_retries``), optional timeouts
         (``config.shard_timeout``), poison-pair quarantine
         (``config.on_poison_pair``), checkpointing per shard when
-        ``config.shard_checkpoint_dir`` is set, then merged into the
-        identical banded matrix.
+        ``config.shard_checkpoint_dir`` is set, then merged into one
+        banded matrix.
         """
         cfg = self.config
         if cfg.n_shards is not None or cfg.shard_checkpoint_dir is not None:

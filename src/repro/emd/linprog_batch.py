@@ -14,9 +14,10 @@ same-support pairs into a *single* sparse block-diagonal LP:
   shared (or per-pair) ground-cost vector;
 * because the blocks share no variables or constraints, the stacked LP's
   optimum is the sum of the per-pair optima and each extracted block
-  solution is itself optimal for its pair — the distances are *exactly*
-  those of per-pair :func:`solve_emd_linprog`, not an entropic
-  approximation;
+  solution is itself optimal for its pair — the distances are those of
+  per-pair :func:`solve_emd_linprog`, not an approximation (within
+  1e-15: HiGHS solves a chunk as one model, so the last bits of a
+  pair's distance can depend on its chunk mates);
 * batches are chunked along ``P`` so the assembled sparse matrix stays
   bounded (HiGHS's dual simplex also degrades past a few thousand
   variables per model, so moderate chunks are faster *and* smaller);
@@ -40,7 +41,6 @@ from scipy.optimize import linprog
 
 from .._validation import check_positive_int
 from ..exceptions import SolverError, ValidationError
-from .numerics import check_batch_shapes, check_weight_rows
 from .transportation import TransportPlan
 
 #: Cap on the number of LP variables (``P_chunk * m * n``) assembled into
@@ -87,6 +87,47 @@ class LinprogBatchResult:
             cost=float(self.costs[p]),
             total_flow=float(self.total_flows[p]),
         )
+
+
+def _check_weight_rows(weights: np.ndarray, name: str) -> np.ndarray:
+    """Validate a ``(P, n_atoms)`` batch of non-negative weight rows.
+
+    Rows are *not* normalised and zero-total rows are *not* rejected: the
+    partial-matching LP takes raw weights and treats a zero-total row as
+    a trivially solved pair.
+    """
+    arr = np.asarray(weights, dtype=float)
+    if arr.ndim != 2:
+        raise ValidationError(f"{name} must be a 2-D (P, n_atoms) array")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} contains NaN or infinite values")
+    if np.any(arr < 0):
+        raise ValidationError(f"{name} must be non-negative")
+    return arr
+
+
+def _check_batch_shapes(
+    cost: np.ndarray, supply: np.ndarray, demand: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """Validate the cost/weights geometry; return the float cost and ``P``."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim not in (2, 3):
+        raise ValidationError("cost must have shape (K, L) or (P, K, L)")
+    n_pairs = supply.shape[0]
+    if demand.shape[0] != n_pairs:
+        raise ValidationError(
+            f"supply has {n_pairs} rows but demand has {demand.shape[0]}"
+        )
+    expected = (supply.shape[1], demand.shape[1])
+    if cost.shape[-2:] != expected:
+        raise ValidationError(
+            f"cost has shape {cost.shape}, expected trailing dimensions {expected}"
+        )
+    if cost.ndim == 3 and cost.shape[0] != n_pairs:
+        raise ValidationError(
+            f"per-pair cost has {cost.shape[0]} matrices for {n_pairs} pairs"
+        )
+    return cost, n_pairs
 
 
 def _block_diagonal_constraints(
@@ -210,12 +251,13 @@ def solve_emd_linprog_batch(
     -------
     LinprogBatchResult
         Per-pair distances, costs, total flows and (optionally) flows,
-        each exactly equal to what per-pair :func:`solve_emd_linprog`
-        produces (same LP, same solver — not an approximation).
+        each equal within float rounding to what per-pair
+        :func:`solve_emd_linprog` produces (same LP, same solver — not
+        an approximation).
     """
-    supply = check_weight_rows(supply, "supply")
-    demand = check_weight_rows(demand, "demand")
-    cost, n_pairs = check_batch_shapes(cost, supply, demand, names=("supply", "demand"))
+    supply = _check_weight_rows(supply, "supply")
+    demand = _check_weight_rows(demand, "demand")
+    cost, n_pairs = _check_batch_shapes(cost, supply, demand)
     if cost.size and not np.all(np.isfinite(cost)):
         raise ValidationError("cost matrix contains non-finite values")
     max_batch_variables = check_positive_int(max_batch_variables, "max_batch_variables")

@@ -340,8 +340,10 @@ class StreamSupervisor:
         the distances back, and commits each stream independently — so
         the batched backends amortise their setup over the whole fleet
         instead of paying it per stream.  The engine's routing is
-        pair-local, so on the exact backends every stream commits
-        bit-identically to a sequential :meth:`drain`.
+        pair-local, so on the per-pair backends every stream commits
+        bit-identically to a sequential :meth:`drain`; on
+        ``"linprog_batch"`` a stacked distance can move in the last bits
+        with its chunk mates, so scores agree within 1e-15.
 
         Fault isolation survives the stacking: a
         :class:`~repro.exceptions.SolverError` from the stacked solve is
@@ -449,8 +451,7 @@ class StreamSupervisor:
                         continue
                     # Rescue a sibling that merely shared the stack:
                     # re-solve its own pairs alone — exactly the
-                    # sequential push's solve, so it commits
-                    # bit-identically.
+                    # sequential push's solve.
                     try:
                         distances[i] = engine.solve_pairs(list(pending.pairs))
                     except SolverError as solo_exc:

@@ -1,9 +1,9 @@
 """Every way the solver registry invariant can be broken."""
 
-SOLVER_CHOICES = ("linprog", "simplex", "sinkhorn_batch")  # re-listed literal
+SOLVER_CHOICES = ("linprog", "simplex", "linprog_batch")  # re-listed literal
 
 
-def run(backend: str = "sinkhorn") -> int:  # unknown default
+def run(backend: str = "highs") -> int:  # unknown default
     if backend == "linprog-batch":  # typo never in the registry
         return 1
     return 0

@@ -6,6 +6,10 @@ parametrized test per invariant, run across the detector family
 machinery is observationally identical to the reference computation.
 """
 
+import multiprocessing
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from repro.core import (
     score_likelihood_ratio,
 )
 from repro.emd import (
+    EMD_SOLVERS,
     BandedDistanceMatrix,
     PairwiseEMDEngine,
     banded_emd_matrix,
@@ -26,7 +31,7 @@ from repro.emd import (
 )
 from repro.emd.one_dimensional import wasserstein_1d
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.signatures import Signature
+from repro.signatures import Signature, SignatureBuilder
 
 detector_variants = [
     {"score": "kl", "weighting": "uniform"},
@@ -34,6 +39,20 @@ detector_variants = [
     {"score": "lr", "weighting": "uniform"},
     {"score": "lr", "weighting": "discounted"},
 ]
+
+
+def make_grid_signatures(rng, n=8, side=4, dim=2, drop=4):
+    """Histogram-like signatures over one d-dim grid with varying occupancy."""
+    axes = np.meshgrid(*[np.arange(float(side))] * dim)
+    grid = np.column_stack([axis.ravel() for axis in axes])
+    signatures = []
+    for i in range(n):
+        counts = rng.poisson(3.0, size=grid.shape[0]).astype(float)
+        counts[rng.choice(grid.shape[0], size=drop, replace=False)] = 0.0
+        if counts.sum() == 0:
+            counts[0] = 1.0
+        signatures.append(Signature(grid[counts > 0], counts[counts > 0], label=i))
+    return signatures
 
 
 def make_signatures(rng, n=12, size=8, dim=2, offset_after=None):
@@ -280,6 +299,18 @@ class TestEngineLifecycle:
         assert engine.compute_pairs(pairs).shape == (2,)
         engine.close()
 
+    @pytest.mark.parametrize("parallel_backend", ["thread", "process"])
+    def test_banded_emd_matrix_releases_its_pool(self, rng, parallel_backend):
+        sigs = make_signatures(rng, n=6)
+        children = set(multiprocessing.active_children())
+        threads = threading.active_count()
+        banded = banded_emd_matrix(
+            sigs, 3, parallel_backend=parallel_backend, n_workers=2
+        )
+        assert not np.isnan(banded.band[:-1, 0]).any()
+        assert set(multiprocessing.active_children()) == children
+        assert threading.active_count() == threads
+
     def test_detectors_close_their_engine(self, rng):
         bags = [rng.normal(0, 1, size=(10, 2)) for _ in range(8)]
         kwargs = dict(
@@ -417,7 +448,7 @@ class TestGroundDistanceCache:
         with pytest.raises(ConfigurationError):
             PairwiseEMDEngine(backend="Simplex")  # typo: case-sensitive
         with pytest.raises(ConfigurationError):
-            PairwiseEMDEngine(backend="sinkhorn")  # typo for sinkhorn_batch
+            PairwiseEMDEngine(backend="sinkhorn_batch")  # removed backend
 
     def test_histogram_detector_uses_cache(self, rng):
         # Histogram signatures over a fixed range share one bin-centre grid
@@ -427,6 +458,189 @@ class TestGroundDistanceCache:
         engine = PairwiseEMDEngine(backend="linprog")  # force the LP path in 1-D
         engine.banded_matrix(sigs, 4)
         assert engine.n_cost_cache_hits > 0
+
+
+class TestLinprogBatchRouting:
+    def bags(self, rng, n=5):
+        return [rng.normal(0.0, 1.0, size=(40, 2)) for _ in range(n)]
+
+    def test_mixed_batch_routes_each_pair_once(self, rng):
+        support = rng.normal(size=(5, 2))
+        common = [Signature(support, rng.uniform(0.5, 2.0, 5)) for _ in range(3)]
+        irregular = [Signature(rng.normal(size=(5, 2)), np.ones(5)) for _ in range(2)]
+        one_d = [Signature(rng.normal(size=(4, 1)), np.ones(4)) for _ in range(2)]
+        pairs = [
+            (common[0], common[1]),
+            (common[1], common[2]),
+            (irregular[0], irregular[1]),
+            (one_d[0], one_d[1]),
+        ]
+        with PairwiseEMDEngine(backend="linprog_batch") as engine:
+            with pytest.warns(RuntimeWarning, match="1 of 3 pairs"):
+                values = engine.compute_pairs(pairs)
+        expected = [emd(a, b, backend="linprog") for a, b in pairs]
+        np.testing.assert_allclose(values, expected, atol=1e-9, rtol=0)
+        assert engine.n_fast_path == 1
+        assert engine.n_linprog_batched == 2
+        assert engine.n_evaluations == 4
+
+    def test_union_embedding_handles_signed_zero_rows(self):
+        # -0.0 and 0.0 compare equal (so np.unique collapses them) but
+        # differ bytewise; the atom-index lookup must not KeyError.
+        sig_a = Signature(
+            np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]), np.array([1.0, 2.0, 1.0])
+        )
+        sig_b = Signature(
+            np.array([[-0.0, 1.0], [1.0, 1.0], [3.0, 1.0]]), np.array([2.0, 1.0, 1.0])
+        )
+        with PairwiseEMDEngine(backend="linprog_batch") as engine:
+            value = engine.compute(sig_a, sig_b)
+        assert engine.n_linprog_batched == 1
+        assert value == pytest.approx(emd(sig_a, sig_b, backend="linprog"), abs=1e-9)
+
+    def test_kmeans_signatures_warn_once_per_engine(self, rng):
+        sigs = SignatureBuilder("kmeans", n_clusters=4, random_state=0).build_sequence(
+            self.bags(rng)
+        )
+        pairs = [(sigs[i], sigs[i + 1]) for i in range(len(sigs) - 1)]
+        with PairwiseEMDEngine(backend="linprog_batch") as engine:
+            with pytest.warns(RuntimeWarning) as caught:
+                engine.compute_pairs(pairs)
+                engine.compute_pairs(pairs)
+        messages = [str(w.message) for w in caught if "cannot be stacked" in str(w.message)]
+        assert len(messages) == 1
+        assert "4 of 4 pairs" in messages[0]
+        assert "k-means" in messages[0] and "histogram_range" in messages[0]
+        assert engine.n_linprog_batched == 0
+
+    def test_fixed_range_histograms_stack_silently(self, rng):
+        builder = SignatureBuilder(
+            "histogram", bins=4, histogram_range=[(-3.0, 3.0), (-3.0, 3.0)]
+        )
+        sigs = builder.build_sequence(self.bags(rng))
+        pairs = [(sigs[i], sigs[j]) for i in range(len(sigs)) for j in range(i + 1, len(sigs))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with PairwiseEMDEngine(backend="linprog_batch") as engine:
+                engine.compute_pairs(pairs)
+                engine.compute_pairs(pairs)
+        assert engine.n_linprog_batched == 2 * len(pairs)
+
+
+    def test_common_support_group_matches_per_pair(self, rng):
+        support = rng.normal(size=(6, 2))
+        sigs = [Signature(support, rng.uniform(0.5, 2.0, 6)) for _ in range(6)]
+        pairs = [(sigs[i], sigs[j]) for i in range(6) for j in range(i + 1, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with PairwiseEMDEngine(backend="linprog_batch") as engine:
+                values = engine.compute_pairs(pairs)
+        expected = [emd(a, b, backend="linprog") for a, b in pairs]
+        np.testing.assert_allclose(values, expected, atol=1e-9, rtol=0)
+        assert engine.n_linprog_batched == engine.n_evaluations == len(pairs)
+
+    @pytest.mark.parametrize("ground_distance", ["euclidean", "cityblock", "chebyshev"])
+    def test_union_embedding_matches_per_pair(self, rng, ground_distance):
+        # Varying bin occupancy over one grid: the pairs have distinct
+        # supports, embedded into the union of each pair's two supports
+        # with the ground cost rebuilt on that union.
+        sigs = make_grid_signatures(rng)
+        pairs = [(sigs[i], sigs[j]) for i in range(8) for j in range(i + 1, 8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with PairwiseEMDEngine(
+                backend="linprog_batch", ground_distance=ground_distance
+            ) as engine:
+                values = engine.compute_pairs(pairs)
+        expected = [
+            emd(a, b, ground_distance=ground_distance, backend="linprog") for a, b in pairs
+        ]
+        np.testing.assert_allclose(values, expected, atol=1e-9, rtol=0)
+        assert engine.n_linprog_batched == len(pairs)
+
+    def test_irregular_supports_fall_back_to_exact_lp(self, rng):
+        sigs = [Signature(rng.normal(size=(6, 3)), np.ones(6)) for _ in range(4)]
+        pairs = [(sigs[i], sigs[j]) for i in range(4) for j in range(i + 1, 4)]
+        with PairwiseEMDEngine(backend="linprog_batch") as engine:
+            with pytest.warns(RuntimeWarning, match="6 of 6 pairs"):
+                values = engine.compute_pairs(pairs)
+        expected = [emd(a, b, backend="linprog") for a, b in pairs]
+        np.testing.assert_allclose(values, expected, atol=1e-10, rtol=0)
+        assert engine.n_linprog_batched == 0
+
+    def test_raw_masses_are_kept_on_both_routes(self, rng):
+        # Stacked and per-pair fallback solve the same partial-matching
+        # EMD on raw weights: neither route normalises the masses.
+        support = rng.normal(size=(5, 2))
+        heavy = Signature(support, rng.uniform(0.5, 2.0, 5) * 10.0)
+        light = Signature(support, rng.uniform(0.5, 2.0, 5))
+        irregular_a = Signature(rng.normal(size=(5, 2)), np.ones(5) * 7.0)
+        irregular_b = Signature(rng.normal(size=(5, 2)), np.ones(5))
+        pairs = [(heavy, light), (irregular_a, irregular_b)]
+        with PairwiseEMDEngine(backend="linprog_batch") as engine:
+            with pytest.warns(RuntimeWarning, match="cannot be stacked"):
+                values = engine.compute_pairs(pairs)
+        assert engine.n_linprog_batched == 1
+        expected = [emd(a, b, backend="linprog") for a, b in pairs]
+        np.testing.assert_allclose(values, expected, atol=1e-10, rtol=0)
+        assert values[0] != pytest.approx(
+            emd(heavy.normalized(), light.normalized()), abs=1e-6
+        )
+
+    def test_exact_1d_fast_path_still_engages(self, rng):
+        sigs = [Signature(rng.normal(size=(5, 1)), np.ones(5)).normalized() for _ in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with PairwiseEMDEngine(backend="linprog_batch") as engine:
+                engine.compute_pairs([(sigs[0], sigs[1]), (sigs[2], sigs[3])])
+        assert engine.n_fast_path == 2
+        assert engine.n_linprog_batched == 0
+
+    def test_banded_matrix_matches_per_pair_lp(self, rng):
+        sigs = make_grid_signatures(rng, n=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with PairwiseEMDEngine(backend="linprog_batch") as engine:
+                banded = engine.banded_matrix(sigs, 4)
+        assert engine.n_linprog_batched > 0
+        for i, j in banded.pairs():
+            assert banded[i, j] == pytest.approx(
+                emd(sigs[i], sigs[j], backend="linprog"), abs=1e-9
+            )
+
+    def test_unranged_histograms_warn(self, rng):
+        # Without a fixed histogram_range every bag gets its own bin
+        # edges, so no two signatures share a grid.
+        sigs = SignatureBuilder("histogram", bins=4).build_sequence(self.bags(rng))
+        pairs = [(sigs[i], sigs[i + 1]) for i in range(len(sigs) - 1)]
+        with PairwiseEMDEngine(backend="linprog_batch") as engine:
+            with pytest.warns(RuntimeWarning, match="histogram_range"):
+                values = engine.compute_pairs(pairs)
+        expected = [emd(a, b, backend="linprog") for a, b in pairs]
+        np.testing.assert_allclose(values, expected, atol=1e-9, rtol=0)
+
+    def test_every_engine_warns_once(self, rng):
+        sigs = [Signature(rng.normal(size=(4, 2)), np.ones(4)) for _ in range(3)]
+        pairs = [(sigs[0], sigs[1]), (sigs[1], sigs[2])]
+        for _ in range(2):
+            with PairwiseEMDEngine(backend="linprog_batch") as engine:
+                with pytest.warns(RuntimeWarning, match="2 of 2 pairs"):
+                    engine.compute_pairs(pairs)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    engine.compute_pairs(pairs)
+
+    def test_retained_sinkhorn_counter_stays_zero(self, rng):
+        # Kept only for readers of the old counter; no route feeds it.
+        builder = SignatureBuilder(
+            "histogram", bins=4, histogram_range=[(-3.0, 3.0), (-3.0, 3.0)]
+        )
+        sigs = builder.build_sequence(self.bags(rng, n=6))
+        for backend in EMD_SOLVERS:
+            with PairwiseEMDEngine(backend=backend) as engine:
+                engine.banded_matrix(sigs, 3)
+            assert engine.n_evaluations > 0
+            assert engine.n_sinkhorn_batched == 0
 
 
 class TestFromDenseVectorised:

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, build_shard_parser, main
+from repro.cli import build_parser, build_serve_parser, build_shard_parser, main
 
 
 @pytest.fixture
@@ -46,6 +46,23 @@ class TestParser:
         assert args.tau == 3
         assert args.score == "lr"
         assert args.seed == 7
+
+    @pytest.mark.parametrize(
+        "make_parser", [build_parser, build_shard_parser, build_serve_parser]
+    )
+    def test_removed_sinkhorn_options_rejected(self, make_parser, tmp_path, capsys):
+        parser = make_parser()
+        for extra in (
+            ["--sinkhorn-epsilon", "0.05"],
+            ["--sinkhorn-max-iter", "100"],
+            ["--sinkhorn-tol", "1e-9"],
+            ["--sinkhorn-anneal", "1.0"],
+            ["--emd-backend", "sinkhorn_batch"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([str(tmp_path / "x.npz"), *extra])
+            assert excinfo.value.code == 2
+            assert extra[0] in capsys.readouterr().err
 
 
 class TestMain:

@@ -68,7 +68,7 @@ def test_rl001_catches_each_breakage_mode():
     messages = " | ".join(v.message for v in report.violations)
     assert len(report.violations) == 5
     assert "re-lists" in messages  # literal tuple copy
-    assert "'sinkhorn'" in messages  # unknown default
+    assert "'highs'" in messages  # unknown default
     assert "'linprog-batch'" in messages  # typo in comparison
     assert "'simplexx'" in messages  # typo'd keyword
     assert "choices=" in messages  # argparse re-list

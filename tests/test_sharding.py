@@ -8,6 +8,7 @@ import pytest
 from repro import BagChangePointDetector
 from repro.core import DetectorConfig
 from repro.emd import (
+    EMD_SOLVERS,
     BandedDistanceMatrix,
     EngineSettings,
     PairwiseEMDEngine,
@@ -185,19 +186,14 @@ class TestShardPlan:
 # ---------------------------------------------------------------------- #
 class TestEngineSettings:
     def test_from_config_carries_solver_knobs(self):
-        config = DetectorConfig(
-            emd_backend="sinkhorn_batch",
-            sinkhorn_epsilon=0.1,
-            sinkhorn_max_iter=500,
-            sinkhorn_tol=1e-6,
-            sinkhorn_anneal=[1.0, 0.3],
-        )
+        config = DetectorConfig(emd_backend="linprog_batch", ground_distance="manhattan")
         settings = EngineSettings.from_config(config)
-        assert settings.backend == "sinkhorn_batch"
-        assert settings.sinkhorn_anneal == (1.0, 0.3)
+        assert settings.backend == "linprog_batch"
+        assert settings.ground_distance == "manhattan"
         engine = settings.make_engine()
-        assert engine.sinkhorn_schedule == (1.0, 0.3, 0.1)
-        assert engine.sinkhorn_tol == 1e-6
+        assert engine.backend == "linprog_batch"
+        assert engine.ground_distance == "manhattan"
+        assert engine.parallel_backend == "serial"
         engine.close()
 
     def test_fingerprint_changes_with_each_knob(self):
@@ -206,10 +202,7 @@ class TestEngineSettings:
         variants = [
             EngineSettings(ground_distance="manhattan"),
             EngineSettings(backend="linprog_batch"),
-            EngineSettings(sinkhorn_epsilon=0.1),
-            EngineSettings(sinkhorn_max_iter=100),
-            EngineSettings(sinkhorn_tol=1e-6),
-            EngineSettings(sinkhorn_anneal=(1.0,)),
+            EngineSettings(backend="simplex"),
         ]
         prints = {settings.fingerprint() for settings in variants}
         assert len(prints) == len(variants)
@@ -224,7 +217,7 @@ class TestEngineSettings:
 # Merge parity with the single-process build
 # ---------------------------------------------------------------------- #
 class TestMergeParity:
-    @pytest.mark.parametrize("backend", ["auto", "linprog_batch", "sinkhorn_batch"])
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     def test_histogram_band_matches_single_process(self, backend):
         signatures = histogram_signatures(24, seed=3)
         bandwidth = 6
@@ -323,7 +316,7 @@ class TestCheckpoints:
         runner.run(signatures)
         stale = ShardRunner(
             plan,
-            EngineSettings(sinkhorn_epsilon=0.99),
+            EngineSettings(backend="linprog_batch"),
             mode="serial",
             checkpoint_dir=tmp_path / "ckpt",
         )
@@ -470,7 +463,7 @@ class TestDetectorIntegration:
 # ---------------------------------------------------------------------- #
 @pytest.mark.faults
 class TestCrashResumeProperty:
-    @pytest.mark.parametrize("backend", ["auto", "linprog_batch", "sinkhorn_batch"])
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_killed_build_resumes_to_parity(self, tmp_path, backend, seed):
         from repro.emd.orchestrator import WorkerCrash

@@ -1,47 +1,47 @@
 """Cross-solver parity harness and EMD metric-invariant property tests.
 
-The solver matrix has five entries — the closed-form 1-D fast path, the
-transportation simplex, the per-pair HiGHS LP, the block-diagonal
-batched LP and the tensor-batched entropic Sinkhorn — and the detector
-freely routes pairs between them.  This module pins down what "the same
-distance" means across that matrix:
+The solver matrix has four entries — the closed-form 1-D fast path, the
+transportation simplex, the per-pair HiGHS LP and the block-diagonal
+batched LP — all exact, and the detector freely routes pairs between
+them.  This module pins down what "the same distance" means across that
+matrix:
 
-* every *exact* path (everything except Sinkhorn) must agree with the
-  per-pair LP reference to within ``1e-9`` on one shared fixture corpus
-  covering common-support histograms, unequal total masses, zero-weight
-  atoms, single-atom signatures and 1-/2-/3-dimensional supports;
-* the entropic path must converge to those exact values under an
-  epsilon-annealing schedule;
-* every exact backend must satisfy the EMD's metric invariants
+* every path must agree with the per-pair LP reference to within
+  ``1e-9`` on one shared fixture corpus covering common-support
+  histograms, unequal total masses, zero-weight atoms, single-atom
+  signatures and 1-/2-/3-dimensional supports;
+* every backend must satisfy the EMD's metric invariants
   (non-negativity, symmetry, identity of indiscernibles, triangle
   inequality) on seeded random normalised signatures;
 * a :class:`~repro.exceptions.SolverError` escaping a *batched* group
   solve must identify the pairs that were stacked into the failing
-  solve.
+  solve;
+* a whole ``detect()`` raises the same alarms, with scores within
+  ``1e-9``, on every backend.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import BagChangePointDetector, DetectorConfig
+from repro.core import BagChangePointDetector, DetectorConfig, OnlineBagDetector
 from repro.emd import (
     EMD_SOLVERS,
     PairwiseEMDEngine,
     emd,
-    sinkhorn_transport_batch,
     solve_emd_linprog,
     solve_emd_linprog_batch,
+    solve_transportation,
     solve_unbalanced_transportation,
 )
 from repro.emd.ground_distance import cross_distance_matrix
-from repro.exceptions import SolverError
+from repro.emd.sharding import EngineSettings
+from repro.exceptions import ConfigurationError, SolverError
 from repro.signatures import Signature
 
 #: Maximum disagreement tolerated between any two exact solve paths.
 PARITY_TOL = 1e-9
-
-#: Engine backends that compute the exact partial-matching EMD.
-EXACT_BACKENDS = tuple(b for b in EMD_SOLVERS if b != "sinkhorn_batch")
 
 
 def _grid(side, dim):
@@ -122,7 +122,7 @@ def reference():
 # Cross-solver parity on the shared corpus
 # ---------------------------------------------------------------------- #
 class TestExactSolverParity:
-    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_engine_backend_matches_reference(self, backend, name, reference):
         sig_a, sig_b = CORPUS[name]
@@ -131,7 +131,7 @@ class TestExactSolverParity:
                 reference[name], abs=PARITY_TOL
             )
 
-    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
     def test_engine_backend_matches_reference_in_one_batch(self, backend, reference):
         # The whole corpus in a single compute_pairs call exercises the
         # batched backends' support grouping and union embedding across
@@ -159,6 +159,20 @@ class TestExactSolverParity:
             cost, sig_a.weights[None, :], sig_b.weights[None, :]
         )
         assert result.distances[0] == pytest.approx(reference[name], abs=PARITY_TOL)
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_normalised_pair_matches_balanced_simplex(self, name):
+        # On unit-mass signatures the partial-matching EMD is the
+        # balanced transportation optimum: every path must find it.
+        sig_a, sig_b = (sig.normalized() for sig in CORPUS[name])
+        cost = cross_distance_matrix(sig_a.positions, sig_b.positions, "euclidean")
+        plan = solve_transportation(cost, sig_a.weights, sig_b.weights)
+        assert plan.total_flow == pytest.approx(1.0, abs=1e-12)
+        for backend in EMD_SOLVERS:
+            with PairwiseEMDEngine(backend=backend) as engine:
+                assert engine.compute(sig_a, sig_b) == pytest.approx(
+                    plan.cost, abs=PARITY_TOL
+                )
 
     def test_block_diagonal_multi_pair_matches_per_pair(self):
         # Many pairs over one shared support in a single stacked solve,
@@ -200,25 +214,6 @@ class TestExactSolverParity:
                 min(supply[p].sum(), demand[p].sum()), abs=1e-9
             )
 
-    @pytest.mark.parametrize("name", CASE_NAMES)
-    def test_sinkhorn_converges_to_exact_under_annealing(self, name):
-        # The entropic solver computes the normalised-mass balanced EMD,
-        # so the exact target is the partial-matching EMD of the
-        # *normalised* signatures (identical for equal-mass pairs).
-        sig_a, sig_b = CORPUS[name]
-        exact = emd(sig_a.normalized(), sig_b.normalized(), backend="linprog")
-        cost = cross_distance_matrix(sig_a.positions, sig_b.positions, "euclidean")
-        result = sinkhorn_transport_batch(
-            cost,
-            sig_a.weights[None, :],
-            sig_b.weights[None, :],
-            epsilon=[1.0, 0.3, 0.1, 0.03, 0.01],
-            max_iter=5000,
-        )
-        assert result.distances[0] == pytest.approx(exact, rel=5e-3, abs=5e-3)
-        # Entropic smoothing can only blur the optimal plan upwards.
-        assert result.distances[0] >= exact - 1e-8
-
 
 # ---------------------------------------------------------------------- #
 # Metric invariants per exact backend (seeded property tests)
@@ -230,7 +225,7 @@ def _random_normalised_signature(rng, dim, max_size=6):
     return Signature(positions, weights / weights.sum())
 
 
-@pytest.mark.parametrize("backend", EXACT_BACKENDS)
+@pytest.mark.parametrize("backend", EMD_SOLVERS)
 @pytest.mark.parametrize("seed", (0, 1, 2, 3, 4))
 class TestMetricInvariants:
     """EMD on normalised signatures is a metric; each backend must honour it."""
@@ -288,10 +283,7 @@ class TestBatchedGroupErrorContext:
         assert error.pair_indices == (3, 1)
         assert SolverError("boom").pair_indices is None
 
-    @pytest.mark.parametrize("backend", ("sinkhorn_batch", "linprog_batch"))
-    def test_group_failure_reports_compute_pairs_positions(
-        self, backend, monkeypatch
-    ):
+    def test_group_failure_reports_compute_pairs_positions(self, monkeypatch):
         # Batch layout: positions 0, 2 and 3 form one common-support
         # group; position 1 is an irregular pair that would take the
         # per-pair fallback.  A failure attributed to row 1 of the
@@ -310,22 +302,14 @@ class TestBatchedGroupErrorContext:
         def failing_solver(*args, **kwargs):
             raise SolverError("synthetic stacked failure", pair_indices=[1])
 
-        target = (
-            "sinkhorn_transport_batch"
-            if backend == "sinkhorn_batch"
-            else "solve_emd_linprog_batch"
-        )
-        monkeypatch.setattr(batch_module, target, failing_solver)
-        engine = PairwiseEMDEngine(backend=backend)
+        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
+        engine = PairwiseEMDEngine(backend="linprog_batch")
         with pytest.raises(SolverError) as excinfo:
             engine.compute_pairs(pairs)
         assert excinfo.value.pair_indices == (2,)
         assert "[2]" in str(excinfo.value)
 
-    @pytest.mark.parametrize("backend", ("sinkhorn_batch", "linprog_batch"))
-    def test_unattributed_group_failure_reports_whole_group(
-        self, backend, monkeypatch
-    ):
+    def test_unattributed_group_failure_reports_whole_group(self, monkeypatch):
         from repro.emd import batch as batch_module
 
         rng = np.random.default_rng(1)
@@ -338,13 +322,8 @@ class TestBatchedGroupErrorContext:
         def failing_solver(*args, **kwargs):
             raise SolverError("synthetic stacked failure")
 
-        target = (
-            "sinkhorn_transport_batch"
-            if backend == "sinkhorn_batch"
-            else "solve_emd_linprog_batch"
-        )
-        monkeypatch.setattr(batch_module, target, failing_solver)
-        engine = PairwiseEMDEngine(backend=backend)
+        monkeypatch.setattr(batch_module, "solve_emd_linprog_batch", failing_solver)
+        engine = PairwiseEMDEngine(backend="linprog_batch")
         with pytest.raises(SolverError) as excinfo:
             engine.compute_pairs(pairs)
         assert excinfo.value.pair_indices == (0, 1, 2)
@@ -383,33 +362,110 @@ class TestBatchedGroupErrorContext:
 # ---------------------------------------------------------------------- #
 # Detector-level wiring
 # ---------------------------------------------------------------------- #
+def _detect_histogram_bags(backend):
+    rng = np.random.default_rng(5)
+    bags = [rng.normal(0.0, 1.0, size=(30, 2)) for _ in range(8)]
+    bags += [rng.normal(3.0, 1.0, size=(30, 2)) for _ in range(8)]
+    config = DetectorConfig(
+        tau=3,
+        tau_test=3,
+        signature_method="histogram",
+        bins=3,
+        # A shared range puts every bag on one grid, so linprog_batch
+        # can stack every pair; without it each bag has its own edges.
+        histogram_range=[(-3.0, 6.0), (-3.0, 6.0)],
+        n_bootstrap=25,
+        emd_backend=backend,
+        random_state=0,
+    )
+    with BagChangePointDetector(config) as detector:
+        return detector.detect(bags), detector._engine
+
+
 class TestDetectorWiring:
-    def test_linprog_batch_detect_matches_linprog(self):
+    @pytest.mark.parametrize("backend", EMD_SOLVERS)
+    def test_detect_matches_linprog(self, backend):
+        reference, _ = _detect_histogram_bags("linprog")
+        # Errors on warnings: an unstacked linprog_batch pair would warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, engine = _detect_histogram_bags(backend)
+        if backend == "linprog_batch":
+            assert engine.n_linprog_batched == engine.n_evaluations > 0
+        np.testing.assert_array_equal(result.alarm_times, reference.alarm_times)
+        assert reference.alarm_times.size > 0
+        np.testing.assert_allclose(result.scores, reference.scores, atol=PARITY_TOL, rtol=0)
+        np.testing.assert_allclose(result.lower, reference.lower, atol=PARITY_TOL, rtol=0)
+
+    def test_stacked_band_agrees_with_solo_solves(self):
+        # Pairs over sub-supports of one grid, stacked into one call, vs
+        # each pair solved alone: the same exact LP, so only the last
+        # bits may move with the chunk mates.
+        rng = np.random.default_rng(3)
+        grid = _grid(3, 2)
+        sigs = []
+        for _ in range(10):
+            counts = rng.poisson(3.0, size=grid.shape[0]).astype(float)
+            counts[rng.choice(grid.shape[0], size=2, replace=False)] = 0.0
+            sigs.append(Signature(grid[counts > 0], counts[counts > 0]))
+        pairs = [(sigs[i], sigs[j]) for i in range(10) for j in range(i + 1, min(i + 4, 10))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with PairwiseEMDEngine(backend="linprog_batch") as engine:
+                stacked = engine.compute_pairs(pairs)
+                alone = np.array([engine.compute(a, b) for a, b in pairs])
+        assert engine.n_linprog_batched == 2 * len(pairs)
+        np.testing.assert_allclose(stacked, alone, atol=1e-12, rtol=0)
+        expected = [emd(a, b, backend="linprog") for a, b in pairs]
+        np.testing.assert_allclose(stacked, expected, atol=PARITY_TOL, rtol=0)
+
+    def test_online_matches_offline_on_linprog_batch(self):
+        # The offline band stacks whole bands, the online detector one
+        # push at a time: different chunk mates, the same scores.
         rng = np.random.default_rng(5)
-        bags = [rng.normal(0.0, 1.0, size=(30, 2)) for _ in range(8)]
-        bags += [rng.normal(3.0, 1.0, size=(30, 2)) for _ in range(8)]
-
-        def run(backend):
-            config = DetectorConfig(
-                tau=3,
-                tau_test=3,
-                signature_method="histogram",
-                bins=3,
-                n_bootstrap=25,
-                emd_backend=backend,
-                random_state=0,
-            )
+        bags = [rng.normal(0.0, 1.0, size=(30, 2)) for _ in range(7)]
+        bags += [rng.normal(3.0, 1.0, size=(30, 2)) for _ in range(7)]
+        config = DetectorConfig(
+            tau=3,
+            tau_test=3,
+            signature_method="histogram",
+            bins=3,
+            histogram_range=[(-3.0, 6.0), (-3.0, 6.0)],
+            n_bootstrap=25,
+            emd_backend="linprog_batch",
+            random_state=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with BagChangePointDetector(config) as detector:
-                return detector.detect(bags)
+                offline = detector.detect(bags)
+            with OnlineBagDetector(config) as online:
+                points = online.push_many(bags)
+        assert [p.time for p in points] == [p.time for p in offline.points]
+        assert [p.alert for p in points] == [p.alert for p in offline.points]
+        np.testing.assert_allclose(
+            [p.score for p in points], offline.scores, atol=PARITY_TOL, rtol=0
+        )
 
-        reference = run("linprog")
-        batched = run("linprog_batch")
-        np.testing.assert_allclose(
-            batched.scores, reference.scores, atol=PARITY_TOL, rtol=0
-        )
-        np.testing.assert_allclose(
-            batched.lower, reference.lower, atol=PARITY_TOL, rtol=0
-        )
+    @pytest.mark.parametrize(
+        "factory", [DetectorConfig, EngineSettings, PairwiseEMDEngine]
+    )
+    def test_removed_sinkhorn_knobs_rejected(self, factory):
+        # Settings written for the removed entropic solver fail loudly
+        # instead of being silently ignored.
+        for knob, value in [
+            ("sinkhorn_epsilon", 0.05),
+            ("sinkhorn_max_iter", 2000),
+            ("sinkhorn_tol", 1e-9),
+            ("sinkhorn_anneal", (1.0, 0.1)),
+        ]:
+            with pytest.raises(TypeError, match=knob):
+                factory(**{knob: value})
+        with pytest.raises(ConfigurationError):
+            if factory is DetectorConfig:
+                factory(emd_backend="sinkhorn_batch")
+            else:
+                factory(backend="sinkhorn_batch")
 
     def test_config_rejects_unknown_backend(self):
         with pytest.raises(Exception):
